@@ -203,6 +203,16 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
         self.counters
     }
 
+    /// Shrink the counter map to its live entries and free the merge
+    /// scratch buffer (for a summary that stops taking updates). Counters,
+    /// estimates and bounds are unchanged; the rehash may reorder
+    /// iteration, and with it the order of equal-count heavy hitters and
+    /// of encoded counters — the order a decoded copy has anyway.
+    pub fn compact(&mut self) {
+        self.counters.shrink_to_fit();
+        self.scratch = Vec::new();
+    }
+
     /// (internal) Build directly from parts — used by the SpaceSaving
     /// conversion, which must preserve `n` while supplying pruned counters.
     pub(crate) fn from_parts(k: usize, counters: FxHashMap<I, u64>, n: u64) -> Self {

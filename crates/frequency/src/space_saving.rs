@@ -344,6 +344,19 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
         self.counters.iter().map(|(i, &c)| (i, c))
     }
 
+    /// Shrink the counter map to its live entries, and free the merge
+    /// scratch buffer and the derived eviction index (for a summary that
+    /// stops taking updates; a later update rebuilds the index).
+    /// Counters, estimates and bounds are unchanged; the rehash may
+    /// reorder iteration, and with it the order of equal-bound heavy
+    /// hitters and of encoded counters — the order a decoded copy has
+    /// anyway.
+    pub fn compact(&mut self) {
+        self.counters.shrink_to_fit();
+        self.scratch = Vec::new();
+        self.index = None;
+    }
+
     /// Convert into the isomorphic Misra-Gries summary with `k−1` counters
     /// (§3, Lemma 1): subtract the minimum counter from every counter and
     /// drop zeros. A merged-form summary is already MG-form and converts

@@ -65,6 +65,11 @@ impl<T: Ord + Clone> SortedBuffer<T> {
         &self.points
     }
 
+    /// Release the spare capacity of the point vector.
+    pub fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
     /// Consume into the sorted point vector.
     pub fn into_points(self) -> Vec<T> {
         self.points

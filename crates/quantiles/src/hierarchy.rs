@@ -74,6 +74,13 @@ impl<T: Ord + Clone> BufferHierarchy<T> {
         }
     }
 
+    /// Release the spare capacity of every level's buffer.
+    pub fn shrink_to_fit(&mut self) {
+        for buffer in self.levels.iter_mut().flatten() {
+            buffer.shrink_to_fit();
+        }
+    }
+
     /// Merge another hierarchy into this one, level-wise with carries.
     pub fn absorb(&mut self, other: BufferHierarchy<T>, rng: &mut Rng64) {
         for (level, slot) in other.levels.into_iter().enumerate() {

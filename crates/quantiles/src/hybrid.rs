@@ -209,6 +209,14 @@ impl<T: Ord + Clone> HybridQuantile<T> {
         }
     }
 
+    /// Release the spare capacity of the pending base buffer and of every
+    /// hierarchy level (for a summary that stops taking updates). The
+    /// stored points, their order and the encoding are unchanged.
+    pub fn compact(&mut self) {
+        self.base.shrink_to_fit();
+        self.hierarchy.shrink_to_fit();
+    }
+
     /// Double the base weight once: relabel hierarchy levels downward
     /// (old level `i+1` is new level `i`), and re-feed everything that was
     /// stored at the old weight — the orphaned old level-0 buffer *and*

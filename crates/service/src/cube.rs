@@ -9,22 +9,28 @@
 //! the covering segments — error stays eps·(window weight), not
 //! eps·(total stream).
 //!
-//! Concurrency contract: when the cube is on, the engine routes every
-//! ingest through [`SegmentCube::record_with`], which runs the WAL
-//! append *inside* the cube's state lock. That serialization is what
-//! lets the cube assign its own dense seq counter and have it equal the
-//! WAL seq without the WAL reporting seqs back — recovery then aligns
-//! sealed segments against WAL records by seq alone.
+//! Concurrency contract: a durable engine appends each batch to the WAL
+//! first, through group commit and outside the cube lock, so concurrent
+//! writers share one fsync. It then hands the batch to
+//! [`SegmentCube::record_at`] with the WAL seq it got back — the same
+//! entry point WAL replay uses. Under the cube lock that call waits on a
+//! turnstile (a condvar) until every lower seq is recorded, so batches
+//! fold in WAL order: segments keep contiguous seq spans, recovery aligns
+//! them against WAL records by seq alone, and a batch is visible to range
+//! queries before its writer acks. A writer advances the turnstile
+//! before it folds, so a fold that panics never wedges later seqs.
+//! Engines without a WAL take seqs from the cube ([`SegmentCube::record`]).
 //!
-//! Crash safety: sealed segments are persisted by the engine via
-//! [`ms_store::SegmentStore`]; the WAL is never pruned past the last
-//! *persisted* segment ([`SegmentCube::persisted_floor`]), so any
-//! segment lost between seal and fsync is rebuilt by replaying the WAL
-//! tail through [`SegmentCube::record_at`].
+//! Crash safety: sealed segments reach [`ms_store::SegmentStore`] in seal
+//! order through [`SegmentCube::persist`]; the WAL is never pruned past
+//! the last segment that is durable along with every segment sealed
+//! before it ([`SegmentCube::persisted_floor`]), so any segment lost
+//! between seal and fsync is rebuilt by replaying the WAL tail through
+//! [`SegmentCube::record_at`].
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use ms_core::{Wire, WireError};
 use ms_store::SegmentRecord;
@@ -65,6 +71,14 @@ pub struct CubeOutcome {
     /// Pairwise coarsening merges performed while sealing (pressure
     /// crossed `coarsen_watermark`).
     pub coarsened: u64,
+    /// Position of this outcome in seal order (1-based; 0 when it has
+    /// nothing to persist). Outcomes must reach disk in ticket order: a
+    /// later one may rewrite a segment id an earlier one wrote.
+    pub ticket: u64,
+    /// End seq of the newest sealed segment after this outcome: the
+    /// persisted floor once this outcome and every earlier ticket are on
+    /// disk ([`SegmentCube::persist`]).
+    pub floor: u64,
 }
 
 /// What adopting recovered segment records did.
@@ -143,6 +157,14 @@ impl Segment {
         }
     }
 
+    /// Drop the families' scratch buffers and derived state once the
+    /// segment stops taking updates (see [`ShardSummary::compact`]).
+    fn compact(&mut self) {
+        for fam in self.fams.iter_mut() {
+            fam.compact();
+        }
+    }
+
     /// Absorb the adjacent *later* segment `next` into this one: spans
     /// and weights union, families one-shot merge (Definition 1 — the
     /// merged summary covers the union at the same eps·n bound), tier
@@ -199,18 +221,33 @@ struct CubeState {
     next_id: u64,
     open: Option<Segment>,
     sealed: VecDeque<Segment>,
+    /// Tickets handed to outcomes that sealed something.
+    tickets: u64,
+}
+
+/// Sealing outcomes on their way to disk, in ticket order.
+struct PersistQueue {
+    /// Ticket of the next outcome to write.
+    next: u64,
+    /// Outcomes handed in ahead of `next`.
+    ready: BTreeMap<u64, CubeOutcome>,
 }
 
 /// The engine's segment cube. All methods are `&self`; internal state
-/// is one mutex plus the persisted-floor atomic.
+/// is one mutex with its turnstile condvar, plus the persist queue behind
+/// the persisted-floor atomic.
 pub struct SegmentCube {
     epsilon: f64,
     seed: u64,
     cfg: SegmentConfig,
     state: Mutex<CubeState>,
-    /// End seq of the newest segment known durable on disk; the WAL
-    /// must never be pruned past it (0 = no segment persisted, keep
-    /// everything).
+    /// Signalled whenever `last_seq` advances; writers holding a later
+    /// seq wait on it for their turn.
+    turn: Condvar,
+    persist: Mutex<PersistQueue>,
+    /// End seq of the newest segment durable on disk together with every
+    /// segment sealed before it; the WAL must never be pruned past it
+    /// (0 = no segment persisted, keep everything).
     persisted_floor: AtomicU64,
 }
 
@@ -229,6 +266,12 @@ impl SegmentCube {
                 next_id: 0,
                 open: None,
                 sealed: VecDeque::new(),
+                tickets: 0,
+            }),
+            turn: Condvar::new(),
+            persist: Mutex::new(PersistQueue {
+                next: 1,
+                ready: BTreeMap::new(),
             }),
             persisted_floor: AtomicU64::new(0),
         }
@@ -248,8 +291,10 @@ impl SegmentCube {
     }
 
     fn seal(&self, s: &mut CubeState, out: &mut CubeOutcome) {
-        if let Some(seg) = s.open.take() {
+        if let Some(mut seg) = s.open.take() {
             out.sealed.push(seg.to_record());
+            out.floor = seg.end_seq;
+            seg.compact();
             s.sealed.push_back(seg);
             self.coarsen(s, out);
             while s.sealed.len() > self.cfg.max_sealed {
@@ -281,6 +326,7 @@ impl SegmentCube {
             let survivor = &mut s.sealed[i];
             survivor.absorb(next);
             out.sealed.push(survivor.to_record());
+            survivor.compact();
             out.coarsened += 1;
         }
         // A record both written and absorbed this call need not be
@@ -330,44 +376,81 @@ impl SegmentCube {
         open.end_micros = now;
         open.batches += 1;
         open.weight += batch.len() as u64;
-        for &item in batch {
-            for fam in open.fams.iter_mut() {
-                fam.update(item);
-            }
+        // Family-major: each family's state depends only on its own item
+        // order, so this matches an item-by-item fold byte for byte.
+        for fam in open.fams.iter_mut() {
+            fam.update_batch(batch);
         }
         if open.batches >= self.cfg.seal_batches {
             self.seal(s, &mut out);
         }
+        if !out.sealed.is_empty() || !out.evicted.is_empty() {
+            s.tickets += 1;
+            out.ticket = s.tickets;
+        }
         out
     }
 
-    /// Record one live batch, running `append` (the WAL append) inside
-    /// the cube lock so the seq this assigns equals the WAL's. On append
-    /// error nothing is recorded.
+    /// Fold `batch` at `seq`, which must be the next seq. The turnstile
+    /// advances before the fold runs, so a panicking fold still lets
+    /// later seqs through.
+    fn apply(&self, mut s: MutexGuard<'_, CubeState>, seq: u64, batch: &[u64]) -> CubeOutcome {
+        s.last_seq = seq;
+        self.turn.notify_all();
+        let now = self.now(&mut s);
+        self.fold(&mut s, seq, now, batch)
+    }
+
+    /// Record one batch at its WAL seq: live ingest (after the WAL
+    /// append) and recovery replay both come through here. Waits until
+    /// every lower seq is recorded, so batches fold in seq order; seqs
+    /// at or below the cube's last seq are already covered and ignored.
+    /// Seqs that will never be recorded (records recovery skipped) must
+    /// be stepped over with [`SegmentCube::skip_to`] or this waits
+    /// forever.
+    pub fn record_at(&self, seq: u64, batch: &[u64]) -> CubeOutcome {
+        let mut s = lock(&self.state);
+        while seq > s.last_seq + 1 {
+            s = self.turn.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+        if seq <= s.last_seq {
+            return CubeOutcome::default();
+        }
+        self.apply(s, seq, batch)
+    }
+
+    /// Record one batch at the cube's own next seq: engines without a
+    /// WAL, where nothing else numbers batches.
+    pub fn record(&self, batch: &[u64]) -> CubeOutcome {
+        let s = lock(&self.state);
+        let seq = s.last_seq + 1;
+        self.apply(s, seq, batch)
+    }
+
+    /// Run `append`, then [`SegmentCube::record`] the batch; nothing is
+    /// recorded when `append` fails. `append` runs outside the cube lock
+    /// and the seq is the cube's own, so this only suits callers without
+    /// a WAL (the standalone perfbench replay of the cube fold). Durable
+    /// engines use [`SegmentCube::record_at`].
     pub fn record_with<E>(
         &self,
         batch: &[u64],
         append: impl FnOnce() -> Result<(), E>,
     ) -> Result<CubeOutcome, E> {
-        let mut s = lock(&self.state);
         append()?;
-        let now = self.now(&mut s);
-        let seq = s.last_seq + 1;
-        s.last_seq = seq;
-        Ok(self.fold(&mut s, seq, now, batch))
+        Ok(self.record(batch))
     }
 
-    /// Replay one recovered WAL batch at its original seq (recovery
-    /// path — rebuilds segments lost between seal and fsync, and the
-    /// open segment). Seqs at or below the cube's floor are ignored.
-    pub fn record_at(&self, seq: u64, batch: &[u64]) -> CubeOutcome {
+    /// Mark every seq up to `seq` as recorded without folding anything:
+    /// recovery steps over WAL records it skipped, and aligns the cube
+    /// with the WAL's last seq before live ingest resumes. A no-op at or
+    /// below the cube's last seq.
+    pub fn skip_to(&self, seq: u64) {
         let mut s = lock(&self.state);
-        if seq <= s.last_seq {
-            return CubeOutcome::default();
+        if seq > s.last_seq {
+            s.last_seq = seq;
+            self.turn.notify_all();
         }
-        let now = self.now(&mut s);
-        s.last_seq = seq;
-        self.fold(&mut s, seq, now, batch)
     }
 
     /// Adopt sealed segments recovered from disk (called once at
@@ -406,14 +489,38 @@ impl SegmentCube {
         out
     }
 
-    /// Mark a sealed segment durable through `end_seq` (called after a
-    /// successful [`ms_store::SegmentStore::write`]).
-    pub fn note_persisted(&self, end_seq: u64) {
-        self.persisted_floor.fetch_max(end_seq, Ordering::AcqRel);
+    /// Persist a sealing outcome: `write` puts its sealed records on disk
+    /// and deletes its evicted ids. Outcomes are written strictly in
+    /// ticket order — a later one may rewrite a segment id an earlier one
+    /// wrote — so one handed in ahead of its predecessor waits here and is
+    /// written by the predecessor's caller. The persisted floor advances
+    /// after each write, so only across contiguous tickets: a later
+    /// segment on disk never vouches for an earlier one still in flight.
+    /// A failed write stays first in line for the next caller to retry.
+    pub fn persist<E>(
+        &self,
+        out: CubeOutcome,
+        mut write: impl FnMut(&CubeOutcome) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if out.ticket == 0 {
+            return Ok(());
+        }
+        let mut guard = lock(&self.persist);
+        let queue = &mut *guard;
+        queue.ready.insert(out.ticket, out);
+        while let Some(out) = queue.ready.remove(&queue.next) {
+            if let Err(e) = write(&out) {
+                queue.ready.insert(out.ticket, out);
+                return Err(e);
+            }
+            queue.next += 1;
+            self.persisted_floor.fetch_max(out.floor, Ordering::AcqRel);
+        }
+        Ok(())
     }
 
-    /// Highest batch seq covered by a segment known durable on disk.
-    /// WAL pruning must stay at or below this.
+    /// Highest batch seq covered by segments known durable on disk with
+    /// no gap below them. WAL pruning must stay at or below this.
     pub fn persisted_floor(&self) -> u64 {
         self.persisted_floor.load(Ordering::Acquire)
     }
@@ -512,6 +619,7 @@ impl SegmentCube {
 mod tests {
     use super::*;
     use crate::config::ManualClock;
+    use ms_core::Summary;
     use std::sync::Arc;
 
     const EPS: f64 = 0.02;
@@ -521,7 +629,7 @@ mod tests {
     }
 
     fn ok(cube: &SegmentCube, batch: &[u64]) -> CubeOutcome {
-        cube.record_with::<()>(batch, || Ok(())).unwrap()
+        cube.record(batch)
     }
 
     #[test]
@@ -808,6 +916,198 @@ mod tests {
         let sealed_b: Vec<_> = b.segments.iter().filter(|m| m.sealed).collect();
         assert_eq!(sealed_a, sealed_b);
         assert_eq!(fresh.persisted_floor(), 9);
+    }
+
+    /// Zipf(1.1) batches of varying size over a universe wide enough to
+    /// saturate every counter map and force MG/SpaceSaving evictions.
+    fn zipf_batches(seed: u64, batches: usize) -> Vec<Vec<u64>> {
+        let zipf = ms_workloads::Zipf::new(1 << 16, 1.1);
+        let mut rng = ms_core::Rng64::new(seed);
+        (0..batches)
+            .map(|_| {
+                let len = 1 + rng.below_usize(700);
+                (0..len).map(|_| zipf.sample(&mut rng)).collect()
+            })
+            .collect()
+    }
+
+    fn fresh(kind: SummaryKind) -> ShardSummary {
+        ShardSummary::new(&ServiceConfig::new(kind, EPS).seed(42), 0)
+    }
+
+    #[test]
+    fn family_major_fold_encodes_like_the_item_major_fold() {
+        const SEAL: usize = 5;
+        let c = cube(
+            SegmentConfig::new()
+                .seal_batches(SEAL as u64)
+                .clock(Arc::new(ManualClock::new(0))),
+        );
+        let batches = zipf_batches(7, 4 * SEAL);
+        let sealed: Vec<SegmentRecord> = batches.iter().flat_map(|b| ok(&c, b).sealed).collect();
+        assert_eq!(sealed.len(), 4);
+        for (rec, seg) in sealed.iter().zip(batches.chunks(SEAL)) {
+            // The reference: every item through every family in turn.
+            let mut fams = SummaryKind::all().map(fresh);
+            for &item in seg.iter().flatten() {
+                for fam in fams.iter_mut() {
+                    fam.update(item);
+                }
+            }
+            for (bytes, fam) in rec.summaries.iter().zip(&fams) {
+                assert_eq!(bytes, &fam.encode(), "{:?} segment {}", fam.kind(), rec.id);
+            }
+        }
+    }
+
+    /// Heavy hitters sorted by (count desc, item): the answer as a set,
+    /// whatever order a counter map lists equal counts in.
+    fn sorted_hh(s: &ShardSummary, phi: f64) -> Option<Vec<(u64, u64)>> {
+        let mut hh = s.heavy_hitters(phi)?;
+        hh.sort_unstable_by_key(|&(item, count)| (std::cmp::Reverse(count), item));
+        Some(hh)
+    }
+
+    #[test]
+    fn compact_on_seal_keeps_content_and_answers() {
+        let probes: Vec<u64> = (1..200).chain([1 << 15, 60_000]).collect();
+        for (seed, batches) in [(1, 1), (2, 6), (3, 40)] {
+            let items: Vec<u64> = zipf_batches(seed, batches).concat();
+            // A merge leaves scratch behind for compact to free; without
+            // one, SpaceSaving keeps its streaming eviction index.
+            for (kind, merged) in SummaryKind::all()
+                .into_iter()
+                .flat_map(|k| [(k, false), (k, true)])
+            {
+                let mut before = fresh(kind);
+                before.update_batch(&items);
+                if merged {
+                    before
+                        .merge_in_place(fresh(kind))
+                        .expect("same-family merge");
+                }
+                let mut after = before.clone();
+                after.compact();
+                let (b, a) = (before.encode(), after.encode());
+                match kind {
+                    // No hash table: the encoding itself is unchanged.
+                    SummaryKind::HybridQuantile | SummaryKind::CountMin => {
+                        assert_eq!(b, a, "{kind:?} seed {seed}")
+                    }
+                    // The rehashed counter map may list counters in another
+                    // order; phi = 0 lists every stored counter.
+                    SummaryKind::Mg | SummaryKind::SpaceSaving => {
+                        assert_eq!(b.len(), a.len(), "{kind:?} seed {seed}");
+                        assert_eq!(sorted_hh(&before, 0.0), sorted_hh(&after, 0.0));
+                    }
+                }
+                assert_eq!(before.total_weight(), after.total_weight());
+                for &x in &probes {
+                    assert_eq!(before.point(x), after.point(x), "{kind:?} point({x})");
+                    assert_eq!(before.rank(x), after.rank(x), "{kind:?} rank({x})");
+                }
+                for phi in [0.001, 0.01, 0.1, 0.5, 0.99] {
+                    assert_eq!(before.quantile(phi), after.quantile(phi), "{kind:?}");
+                    assert_eq!(
+                        sorted_hh(&before, phi),
+                        sorted_hh(&after, phi),
+                        "{kind:?} heavy_hitters({phi})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn persist_writes_in_seal_order_and_floor_stays_contiguous() {
+        let c = cube(
+            SegmentConfig::new()
+                .seal_batches(1)
+                .clock(Arc::new(ManualClock::new(0))),
+        );
+        let mut outs: Vec<CubeOutcome> = (0..3u64).map(|i| ok(&c, &[i])).collect();
+        let tickets: Vec<(u64, u64)> = outs.iter().map(|o| (o.ticket, o.floor)).collect();
+        assert_eq!(tickets, vec![(1, 1), (2, 2), (3, 3)]);
+        let (third, second, first) = (
+            outs.pop().unwrap(),
+            outs.pop().unwrap(),
+            outs.pop().unwrap(),
+        );
+        let mut written = Vec::new();
+        let mut write = |out: &CubeOutcome| -> Result<(), ()> {
+            written.push(out.ticket);
+            Ok(())
+        };
+        // The two later outcomes arrive first: segment 0 is still in
+        // flight, so nothing is written and nothing may be pruned yet.
+        c.persist(third, &mut write).unwrap();
+        c.persist(second, &mut write).unwrap();
+        assert_eq!(c.persisted_floor(), 0);
+        c.persist(first, &mut write).unwrap();
+        assert_eq!(written, vec![1, 2, 3], "written in seal order");
+        assert_eq!(c.persisted_floor(), 3);
+
+        // A failed write holds the floor and is retried by the next caller.
+        let (a, b) = (ok(&c, &[7]), ok(&c, &[8]));
+        assert_eq!(c.persist(a, |_| Err("disk full")), Err("disk full"));
+        assert_eq!(c.persisted_floor(), 3);
+        let mut retried = Vec::new();
+        c.persist(b, |out| {
+            retried.push(out.ticket);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(retried, vec![4, 5]);
+        assert_eq!(c.persisted_floor(), 5);
+        // A batch that seals nothing has nothing to persist.
+        let quiet = cube(SegmentConfig::new().seal_batches(2));
+        assert_eq!(quiet.record(&[1]).ticket, 0);
+    }
+
+    #[test]
+    fn turnstile_folds_concurrent_writers_in_seq_order() {
+        const BATCHES: u64 = 48;
+        let cfg = || {
+            SegmentConfig::new()
+                .seal_batches(4)
+                .clock(Arc::new(ManualClock::new(0)))
+        };
+        let batch = |seq: u64| vec![seq % 5; 1 + (seq % 7) as usize];
+        let reference = cube(cfg());
+        for seq in 1..=BATCHES {
+            reference.record_at(seq, &batch(seq));
+        }
+        // One writer per seq, started newest first, so almost every call
+        // arrives before its turn (a writer holds one seq at a time, as
+        // an ingest caller does).
+        let c = Arc::new(cube(cfg()));
+        let writers: Vec<_> = (1..=BATCHES)
+            .rev()
+            .map(|seq| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || c.record_at(seq, &batch(seq)).seq)
+            })
+            .collect();
+        for (w, seq) in writers.into_iter().zip((1..=BATCHES).rev()) {
+            assert_eq!(w.join().unwrap(), seq);
+        }
+        assert_eq!(c.last_seq(), BATCHES);
+        assert_eq!(c.report().segments, reference.report().segments);
+        let (meta, _) = c.query(0, u64::MAX, SummaryKind::Mg);
+        let weight: u64 = (1..=BATCHES).map(|s| batch(s).len() as u64).sum();
+        assert_eq!(meta.covered_weight, weight);
+    }
+
+    #[test]
+    fn skip_to_steps_over_seqs_that_never_arrive() {
+        let c = cube(SegmentConfig::new().clock(Arc::new(ManualClock::new(0))));
+        c.skip_to(10);
+        assert_eq!(c.last_seq(), 10);
+        assert_eq!(c.record_at(11, &[1, 2]).seq, 11);
+        c.skip_to(5);
+        assert_eq!(c.last_seq(), 11, "skipping backwards is a no-op");
+        assert_eq!(c.record_at(11, &[3]).seq, 0, "a covered seq is ignored");
+        assert_eq!(c.report().segments[0].start_seq, 11);
     }
 
     #[test]

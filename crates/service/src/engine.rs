@@ -73,7 +73,7 @@ use ms_store::{GroupCommit, SegmentRecord, Store};
 
 use crate::affinity::{AffinityPlan, AffinityStatus};
 use crate::config::{DurabilityConfig, ServiceConfig, SummaryKind};
-use crate::cube::SegmentCube;
+use crate::cube::{CubeOutcome, SegmentCube};
 use crate::deadline;
 use crate::fault::FaultAction;
 use crate::overload::Admission;
@@ -596,7 +596,9 @@ impl Engine {
             report.cube_segments_adopted = adopt.adopted as u64;
             report.corrupt_cube_segments += adopt.dropped as u64;
             report.notes.extend(adopt.notes);
-            self.persist_sealed(&[], &adopt.evicted)?;
+            if let Some(d) = &self.durable {
+                self.write_segments(&lock(&d.store), &[], &adopt.evicted)?;
+            }
         }
         if let Some(set) = recovery.checkpoint {
             report.checkpoint_seq = set.wal_seq;
@@ -631,14 +633,27 @@ impl Engine {
                 ServiceError::Config("WAL record does not decode as an ingest batch")
             })?;
             if let Some(cube) = &self.cube {
+                // Records the scan skipped (damaged, or below the tail)
+                // never arrive: step over them rather than wait.
+                cube.skip_to(entry.seq - 1);
                 let out = cube.record_at(entry.seq, &batch);
-                self.persist_sealed(&out.sealed, &out.evicted)?;
+                self.persist_outcome(out)?;
             }
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
                 report.replayed_weight += batch.len() as u64;
                 self.enqueue(batch)?;
             }
+        }
+        if let (Some(cube), Some(d)) = (&self.cube, &self.durable) {
+            // Live writers hand the cube WAL seqs and wait their turn, so
+            // both must resume from the same last seq. The WAL can end
+            // below the cube when a power loss took records whose sealed
+            // segment had been fsynced; new records then number past it.
+            let mut store = lock(&d.store);
+            let last = cube.last_seq().max(store.wal.last_seq());
+            store.wal.skip_past(last);
+            cube.skip_to(last);
         }
         self.flush()?;
         report.duration_micros = started.elapsed().as_micros() as u64;
@@ -793,46 +808,52 @@ impl Engine {
         self.enqueue(batch)
     }
 
-    /// The durable front half of ingest. With the cube enabled, the WAL
-    /// append runs inside the cube lock ([`SegmentCube::record_with`])
-    /// so the cube's seq counter tracks the WAL seq exactly; segments
-    /// sealed by this batch are persisted before the batch is enqueued.
-    /// Without a cube this is a plain [`Engine::append_durable`].
+    /// The durable front half of ingest: append the batch to the WAL
+    /// through group commit, so concurrent writers share one fsync, then
+    /// fold it into the cube at the seq the WAL gave it
+    /// ([`SegmentCube::record_at`]; engines without a WAL let the cube
+    /// number batches). Segments sealed by this batch are persisted
+    /// before the batch is enqueued.
     fn record_and_append(&self, batch: &[u64]) -> Result<(), ServiceError> {
-        match &self.cube {
-            Some(cube) => {
-                let out = cube.record_with(batch, || self.append_durable(batch))?;
-                if out.coarsened > 0 {
-                    self.telemetry
-                        .record_coarsen(out.coarsened, cube.health().max_tier);
-                }
-                self.persist_sealed(&out.sealed, &out.evicted)
-            }
-            None => self.append_durable(batch),
+        let seq = self.append_durable(batch)?;
+        let Some(cube) = &self.cube else {
+            return Ok(());
+        };
+        let out = match seq {
+            Some(seq) => cube.record_at(seq, batch),
+            None => cube.record(batch),
+        };
+        if out.coarsened > 0 {
+            self.telemetry
+                .record_coarsen(out.coarsened, cube.health().max_tier);
         }
+        self.persist_outcome(out)
     }
 
-    /// Persist freshly sealed segments and delete evicted ones. No-op on
-    /// engines without durability (the cube then lives purely in memory).
-    fn persist_sealed(
+    /// Persist a cube outcome's segments, in seal order
+    /// ([`SegmentCube::persist`]). No-op on engines without durability
+    /// (the cube then lives purely in memory).
+    fn persist_outcome(&self, out: CubeOutcome) -> Result<(), ServiceError> {
+        let (Some(d), Some(cube)) = (&self.durable, &self.cube) else {
+            return Ok(());
+        };
+        cube.persist(out, |out| {
+            self.write_segments(&lock(&d.store), &out.sealed, &out.evicted)
+        })
+    }
+
+    /// Write `sealed` segment records and delete `evicted` segment files.
+    fn write_segments(
         &self,
+        store: &Store,
         sealed: &[SegmentRecord],
         evicted: &[u64],
     ) -> Result<(), ServiceError> {
-        if sealed.is_empty() && evicted.is_empty() {
-            return Ok(());
-        }
-        let Some(d) = &self.durable else {
-            return Ok(());
-        };
-        let cube = self.cube.as_ref().expect("sealed segments imply a cube");
-        let store = lock(&d.store);
         let Some(segs) = &store.segments else {
             return Ok(());
         };
         for rec in sealed {
             segs.write(rec)?;
-            cube.note_persisted(rec.end_seq);
             self.telemetry.event(
                 "segment_sealed",
                 &[("id", rec.id), ("end_seq", rec.end_seq)],
@@ -852,10 +873,11 @@ impl Engine {
     ///
     /// The encode buffer comes from (and returns to) `wal_pool`, and the
     /// batch is encoded in place from the borrowed slice, so the durable
-    /// hot path allocates nothing in steady state either.
-    fn append_durable(&self, batch: &[u64]) -> Result<(), ServiceError> {
+    /// hot path allocates nothing in steady state either. Returns the
+    /// record's WAL seq (`None` for in-memory engines).
+    fn append_durable(&self, batch: &[u64]) -> Result<Option<u64>, ServiceError> {
         let Some(d) = &self.durable else {
-            return Ok(());
+            return Ok(None);
         };
         let mut payload = self.wal_pool.get();
         encode_u64_slice_into(&mut payload, batch);
@@ -872,7 +894,7 @@ impl Engine {
                 let _ = tx.send(None);
             }
         }
-        Ok(())
+        Ok(Some(outcome.seq))
     }
 
     /// The enqueue half of [`Engine::ingest`]: route to a live shard with
@@ -2408,6 +2430,172 @@ mod tests {
         assert_eq!(snap.gauge("wal_last_seq"), Some(10));
         assert_eq!(snap.gauge("checkpoint_seq"), Some(10));
         assert!(snap.gauge("checkpoint_age_micros").is_some());
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn cube_cfg(dir: &std::path::Path, fsync: ms_store::FsyncPolicy) -> ServiceConfig {
+        durable_cfg(dir)
+            .durability(crate::config::DurabilityConfig::new(dir).fsync(fsync))
+            .segments(
+                crate::config::SegmentConfig::new()
+                    .seal_batches(8)
+                    .clock(Arc::new(crate::config::ManualClock::new(0))),
+            )
+    }
+
+    /// Sealed segments' seq spans, checked contiguous; returns the
+    /// covered `(first, last)` seq span.
+    fn contiguous_span(report: &SegmentReport) -> (u64, u64) {
+        let segs = &report.segments;
+        for pair in segs.windows(2) {
+            assert_eq!(pair[1].start_seq, pair[0].end_seq + 1, "{segs:?}");
+        }
+        (segs[0].start_seq, segs.last().unwrap().end_seq)
+    }
+
+    #[test]
+    fn concurrent_cube_writers_share_fsyncs_and_fold_in_wal_order() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 40;
+        const ITEMS: u64 = 32;
+        let dir = temp_data_dir("cube-writers");
+        let engine = Engine::start(cube_cfg(&dir, ms_store::FsyncPolicy::Always)).unwrap();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || {
+                    for i in 0..PER_WRITER {
+                        engine
+                            .ingest(vec![w * 1000 + i % 3; ITEMS as usize])
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let total = WRITERS * PER_WRITER;
+        let snap = engine.telemetry_snapshot();
+        let records = snap.counter("wal_records_total").unwrap();
+        let groups = snap.counter("wal_group_commits_total").unwrap();
+        assert_eq!(records, total);
+        assert!(
+            records > groups,
+            "no group commit formed: {records} records, {groups} groups"
+        );
+
+        let report = engine.segment_report().unwrap();
+        assert_eq!(
+            contiguous_span(&report),
+            (1, total),
+            "cube seqs are the WAL's"
+        );
+        let (meta, _) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
+        assert_eq!(
+            meta.covered_weight,
+            total * ITEMS,
+            "every acked batch is covered"
+        );
+        let sealed: Vec<_> = report
+            .segments
+            .iter()
+            .filter(|m| m.sealed)
+            .cloned()
+            .collect();
+        assert_eq!(sealed.len() as u64, total / 8);
+        engine.shutdown();
+
+        let engine = Engine::start(cube_cfg(&dir, ms_store::FsyncPolicy::Always)).unwrap();
+        let restarted = engine.segment_report().unwrap();
+        let adopted: Vec<_> = restarted
+            .segments
+            .iter()
+            .filter(|m| m.sealed)
+            .cloned()
+            .collect();
+        assert_eq!(adopted, sealed, "a restart reproduces the sealed index");
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cube_enabled_on_a_pruned_data_dir_resumes_at_the_wal_seq() {
+        const ITEMS: u64 = 40;
+        let dir = temp_data_dir("cube-late");
+        // A first life without the cube: checkpoints prune the WAL, so
+        // its surviving records start well above seq 1.
+        let plain = || {
+            durable_cfg(&dir).durability(
+                crate::config::DurabilityConfig::new(&dir)
+                    .fsync(ms_store::FsyncPolicy::Never)
+                    .segment_bytes(1024),
+            )
+        };
+        let engine = Engine::start(plain()).unwrap();
+        for i in 0..60u64 {
+            engine.ingest(vec![i; ITEMS as usize]).unwrap();
+            if i % 20 == 19 {
+                engine.checkpoint_now().unwrap();
+            }
+        }
+        engine.shutdown();
+
+        let with_cube = || {
+            cube_cfg(&dir, ms_store::FsyncPolicy::Never).durability(
+                crate::config::DurabilityConfig::new(&dir)
+                    .fsync(ms_store::FsyncPolicy::Never)
+                    .segment_bytes(1024),
+            )
+        };
+        let engine = Engine::start(with_cube()).unwrap();
+        let wal_last = engine.recovery().unwrap().wal_last_seq;
+        assert_eq!(wal_last, 60);
+        for i in 0..30u64 {
+            engine.ingest(vec![i; ITEMS as usize]).unwrap();
+        }
+        let live = engine.segment_report().unwrap();
+        let (first, last) = contiguous_span(&live);
+        assert!(first > 1, "the pruned WAL no longer holds seq 1");
+        assert_eq!(last, wal_last + 30, "new batches continue the WAL's seqs");
+        engine.abort();
+
+        let engine = Engine::start(with_cube()).unwrap();
+        let recovery = engine.recovery().unwrap();
+        let report = engine.segment_report().unwrap();
+        assert_eq!(contiguous_span(&report), (first, recovery.wal_last_seq));
+        assert_eq!(recovery.wal_last_seq, wal_last + 30);
+        let (meta, _) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
+        assert_eq!(meta.covered_weight, (last - first + 1) * ITEMS);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_that_lost_sealed_records_numbers_past_the_cube() {
+        const ITEMS: u64 = 16;
+        let dir = temp_data_dir("cube-ahead");
+        let cfg = || cube_cfg(&dir, ms_store::FsyncPolicy::Never);
+        let engine = Engine::start(cfg()).unwrap();
+        for i in 0..16u64 {
+            engine.ingest(vec![i; ITEMS as usize]).unwrap();
+        }
+        engine.abort();
+        // A power loss under a relaxed fsync policy: the sealed segment
+        // files (fsynced on write) survive, the WAL records do not.
+        std::fs::remove_dir_all(dir.join("wal")).unwrap();
+        let engine = Engine::start(cfg()).unwrap();
+        assert_eq!(engine.recovery().unwrap().cube_segments_adopted, 2);
+        for i in 0..3u64 {
+            engine.ingest(vec![i; ITEMS as usize]).unwrap();
+        }
+        // New records number past the adopted segments, so the cube folds
+        // them instead of mistaking them for batches it already holds.
+        let report = engine.segment_report().unwrap();
+        assert_eq!(contiguous_span(&report), (1, 19));
+        let (meta, _) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
+        assert_eq!(meta.covered_weight, 19 * ITEMS);
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

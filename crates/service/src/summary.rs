@@ -142,6 +142,22 @@ impl ShardSummary {
         }
     }
 
+    /// Drop capacity slack and derived state once the summary stops
+    /// taking updates (a sealed cube segment): counter maps shrink to
+    /// their entries, SpaceSaving drops its eviction index (rebuilt on
+    /// demand), merge scratch and quantile buffer slack go. The summary's
+    /// content and every answer are unchanged; a counter family may list
+    /// equal counts, and encode its counters, in another order, as a
+    /// decoded copy may.
+    pub fn compact(&mut self) {
+        match self {
+            ShardSummary::Mg(s) => s.compact(),
+            ShardSummary::SpaceSaving(s) => s.compact(),
+            ShardSummary::HybridQuantile(s) => s.compact(),
+            ShardSummary::CountMin(_) => {}
+        }
+    }
+
     /// Estimated frequency of `item`. `None` for quantile summaries, which
     /// do not answer point queries.
     pub fn point(&self, item: u64) -> Option<u64> {

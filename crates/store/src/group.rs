@@ -16,6 +16,11 @@
 //! is sticky: after the log fails once, every subsequent append fails
 //! fast instead of silently acking into a broken log.
 //!
+//! Every caller learns its record's WAL seq. Tickets and seqs are both
+//! dense and assigned in the same order, so a record's seq is its ticket
+//! plus a fixed offset, read off the first group's `first_seq`. That
+//! holds as long as this coordinator is the log's only appender.
+//!
 //! [`Wal::append_group`]: crate::wal::Wal::append_group
 
 use std::io;
@@ -30,6 +35,8 @@ type Recycler = Box<dyn Fn(Vec<u8>) + Send + Sync>;
 /// What one group-commit append reports back.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GroupOutcome {
+    /// WAL seq assigned to this caller's record.
+    pub seq: u64,
     /// True when an fsync at-or-after this record's append has already
     /// happened (the record survives power loss).
     pub synced: bool,
@@ -61,6 +68,8 @@ struct GroupState {
     completed: u64,
     /// Highest ticket covered by an fsync.
     synced_ticket: u64,
+    /// WAL seq minus ticket, fixed by the first appended group.
+    seq_offset: u64,
     /// Sticky failure: the WAL broke; fail every append from now on.
     failed: Option<(io::ErrorKind, String)>,
 }
@@ -90,6 +99,7 @@ impl GroupCommit {
                 submitted: 0,
                 completed: 0,
                 synced_ticket: 0,
+                seq_offset: 0,
                 failed: None,
             }),
             done: Condvar::new(),
@@ -128,6 +138,7 @@ impl GroupCommit {
                 return Err(sticky(failed));
             }
             return Ok(GroupOutcome {
+                seq: ticket + st.seq_offset,
                 synced: st.synced_ticket >= ticket,
                 led: LedStats::default(),
             });
@@ -150,6 +161,12 @@ impl GroupCommit {
             st = lock(&self.state);
             match appended {
                 Ok(g) => {
+                    let offset = g.first_seq - (st.completed + 1);
+                    debug_assert!(
+                        st.completed == 0 || offset == st.seq_offset,
+                        "another writer appended to the WAL between groups"
+                    );
+                    st.seq_offset = offset;
                     st.completed += g.records;
                     if g.synced {
                         st.synced_ticket = st.completed;
@@ -173,9 +190,13 @@ impl GroupCommit {
                 }
             }
         }
-        let synced = st.synced_ticket >= ticket;
+        let outcome = GroupOutcome {
+            seq: ticket + st.seq_offset,
+            synced: st.synced_ticket >= ticket,
+            led,
+        };
         drop(st);
-        Ok(GroupOutcome { synced, led })
+        Ok(outcome)
     }
 
     /// Tickets completed so far (test/telemetry hook).
@@ -262,6 +283,54 @@ mod tests {
         let (_, recovery) = Store::open(&cfg).unwrap();
         assert_eq!(recovery.tail.len() as u64, total);
         assert_eq!(recovery.corrupt_records, 0);
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn seqs_are_dense_unique_and_match_the_wal_after_reopen() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 40;
+        let (store, cfg) = temp_store("seqs", FsyncPolicy::Always);
+        // A first life leaves records behind, so the reopened log
+        // numbers from a nonzero base.
+        let gc = GroupCommit::new();
+        for i in 0..5u8 {
+            assert_eq!(gc.append(&store, vec![i]).unwrap().seq, u64::from(i) + 1);
+        }
+        drop(store);
+        let (store, _) = Store::open(&cfg).unwrap();
+        let store = Arc::new(Mutex::new(store));
+        let gc = Arc::new(GroupCommit::new());
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (store, gc) = (Arc::clone(&store), Arc::clone(&gc));
+                std::thread::spawn(move || {
+                    (0..PER_THREAD)
+                        .map(|i| {
+                            let payload = (t * PER_THREAD + i).to_le_bytes().to_vec();
+                            (gc.append(&store, payload.clone()).unwrap().seq, payload)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut got: Vec<(u64, Vec<u8>)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        got.sort();
+        let total = THREADS * PER_THREAD;
+        let seqs: Vec<u64> = got.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (6..6 + total).collect::<Vec<_>>(), "dense and unique");
+        drop(store);
+        let (_, recovery) = Store::open(&cfg).unwrap();
+        let on_disk: Vec<(u64, Vec<u8>)> = recovery
+            .tail
+            .into_iter()
+            .filter(|e| e.seq > 5)
+            .map(|e| (e.seq, e.payload))
+            .collect();
+        assert_eq!(got, on_disk, "each caller's seq is its record's WAL seq");
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 

@@ -252,6 +252,15 @@ impl Wal {
         self.next_seq - 1
     }
 
+    /// Number the next record after `seq` when that is past the log's
+    /// end (a no-op otherwise). Seqs may have gaps; recovery only needs
+    /// them strictly increasing. A caller uses this when state derived
+    /// from records the log has lost (to a power loss under a relaxed
+    /// fsync policy) already claims their seqs.
+    pub fn skip_past(&mut self, seq: u64) {
+        self.next_seq = self.next_seq.max(seq + 1);
+    }
+
     /// Append one payload as the next record, rotating and fsyncing per
     /// policy. The record is durable (per the policy) when this returns.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<WalAppend> {
